@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the simulator substrates:
 // event queue, disk service model, NV cache (mixed ops, index probes,
-// eviction churn), Fenwick-backed LRU stack, trace generation, and
+// eviction churn), Fenwick tree, LRU stack, trace generation, and
 // trace loading (text parse vs binary walk).
 #include <benchmark/benchmark.h>
 
@@ -8,6 +8,7 @@
 #include <string>
 
 #include "cache/nv_cache.hpp"
+#include "core/workloads.hpp"
 #include "disk/disk.hpp"
 #include "sim/event_queue.hpp"
 #include "trace/lru_stack.hpp"
@@ -186,13 +187,17 @@ void BM_FenwickAddSelect(benchmark::State& state) {
 }
 BENCHMARK(BM_FenwickAddSelect);
 
+// Generator-shaped: a presized stack of ~300K live blocks (trace 1 at
+// scale 0.1 holds about 317K), probed at trace 1's read-reuse depths.
 void BM_LruStackTouchAtDepth(benchmark::State& state) {
-  LruStack stack;
+  constexpr std::int64_t kLive = 300000;
+  LruStack stack(4 * kLive, kLive);
+  for (std::int64_t b = 0; b < kLive; ++b) stack.touch(b);
+  const LognormalMixture depths = TraceProfile::trace1().read_depth;
   Rng rng(4);
-  for (int i = 0; i < 50000; ++i) stack.touch(rng.uniform_i64(0, 99999));
   for (auto _ : state) {
     const auto depth =
-        static_cast<std::size_t>(rng.uniform_u64(stack.size()));
+        static_cast<std::size_t>(depths.sample(rng)) % stack.size();
     const auto block = stack.at_depth(depth);
     stack.touch(*block);
   }
@@ -200,18 +205,27 @@ void BM_LruStackTouchAtDepth(benchmark::State& state) {
 }
 BENCHMARK(BM_LruStackTouchAtDepth);
 
-void BM_SyntheticTraceGeneration(benchmark::State& state) {
+void BM_SyntheticTraceGeneration(benchmark::State& state,
+                                 const TraceProfile& profile) {
   for (auto _ : state) {
-    TraceProfile profile = TraceProfile::trace2();
-    profile.requests = 20000;
     SyntheticTrace trace(profile);
     std::uint64_t sum = 0;
     while (auto rec = trace.next()) sum += static_cast<std::uint64_t>(rec->block);
     benchmark::DoNotOptimize(sum);
   }
-  state.SetItemsProcessed(state.iterations() * 20000);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(profile.requests));
 }
-BENCHMARK(BM_SyntheticTraceGeneration);
+
+TraceProfile trace2_20k() {
+  TraceProfile profile = TraceProfile::trace2();
+  profile.requests = 20000;
+  return profile;
+}
+BENCHMARK_CAPTURE(BM_SyntheticTraceGeneration, trace2_20k, trace2_20k());
+BENCHMARK_CAPTURE(BM_SyntheticTraceGeneration, trace1_scale0_1,
+                  workload_profile("trace1", {.scale = 0.1}))
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

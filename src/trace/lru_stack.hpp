@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -13,21 +14,31 @@ namespace raidsim {
 /// standard model of temporal locality: an access at stack distance d
 /// hits in any LRU cache of size > d).
 ///
-/// Implementation: each block occupies a timestamp slot; a Fenwick tree
-/// counts live slots, so "the block at depth d" is an order-statistics
-/// query. The slot array is compacted geometrically, giving amortised
-/// O(log n) per operation.
+/// Implementation: each touch appends the block to the next timestamp
+/// slot and kills its previous slot, so the live slots, read bottom to
+/// top, are the stack from least to most recent. Liveness is a bitmap;
+/// the slots are grouped into chunks of kChunkSlots whose live counts sit
+/// in a Fenwick tree small enough to stay in L1/L2. "The block at depth
+/// d" is then a chunk select, a popcount scan over the chunk's words and
+/// a select-in-word. The slot array is presized from the caller's
+/// expected touch count; when that runs out, compact() packs the live
+/// slots to the bottom (growing the array when it is over half live),
+/// giving amortised O(log n) per operation either way.
 ///
-/// The block -> slot index is an open-addressed flat table (splitmix64
-/// finalizer hash, linear probing, grown at 50% load) rather than
-/// std::unordered_map: the stack sits on the trace generator's per-access
-/// path, and the node-per-key map made every cold block a heap
-/// allocation -- about a quarter of all allocations in a cached-replay
-/// run. Keys are never erased (touch only inserts or moves), so the
-/// table needs no tombstones.
+/// The block -> slot index is an open-addressed flat table of
+/// interleaved {key, slot} entries (splitmix64 finalizer hash, linear
+/// probing, grown at 3/4 load) rather than std::unordered_map: the stack
+/// sits on the trace generator's per-access path, and a node-per-key map
+/// makes every cold block a heap allocation. Keys are never erased (touch
+/// only inserts or moves), so the table needs no tombstones.
 class LruStack {
  public:
-  explicit LruStack(std::size_t initial_slots = 4096);
+  /// Presizes for `expected_touches` touches (the slot array) and
+  /// `expected_blocks` distinct blocks (the index; 0 = one per touch).
+  /// Both are hints: exceeding them costs a compaction or an index
+  /// regrow, never a wrong answer.
+  explicit LruStack(std::size_t expected_touches = 4096,
+                    std::size_t expected_blocks = 0);
 
   /// Insert `block` at the top (most recently used), moving it if present.
   void touch(std::int64_t block);
@@ -46,6 +57,14 @@ class LruStack {
 
  private:
   static constexpr std::int64_t kEmptyKey = -1;
+  static constexpr std::size_t kWordSlots = 64;
+  static constexpr std::size_t kChunkWords = 8;
+  static constexpr std::size_t kChunkSlots = kWordSlots * kChunkWords;
+
+  struct Entry {
+    std::int64_t key;
+    std::size_t slot;
+  };
 
   static std::uint64_t hash_block(std::int64_t block) {
     // splitmix64 finalizer: full-avalanche mix of the block number.
@@ -58,25 +77,23 @@ class LruStack {
 
   /// Pointer to the slot value of `block`, or nullptr when absent.
   const std::size_t* find_slot(std::int64_t block) const;
-  std::size_t* find_slot(std::int64_t block) {
-    return const_cast<std::size_t*>(
-        static_cast<const LruStack*>(this)->find_slot(block));
-  }
-  /// Insert an absent block (doubling the table at 50% load).
-  void insert_slot(std::int64_t block, std::size_t slot);
-  void grow_table();
+  /// Empty entry where `block` would be inserted (the block is absent).
+  Entry& empty_entry_for(std::int64_t block);
+  void grow_index();
 
+  /// Number of live slots at or below `slot`.
+  std::size_t rank_of(std::size_t slot) const;
+  void kill(std::size_t slot);
   void compact();
 
-  std::size_t capacity_;
+  std::size_t capacity_ = 0;  // slots, a multiple of kChunkSlots
   std::size_t next_slot_ = 0;
-  FenwickTree live_;
-  std::vector<std::int64_t> block_at_slot_;
+  std::unique_ptr<std::int64_t[]> block_at_slot_;  // valid where live
+  std::vector<std::uint64_t> live_words_;          // slot liveness bitmap
+  FenwickTree chunk_live_;                         // live slots per chunk
 
-  // Open-addressed index: parallel key/value arrays, power-of-two size.
-  std::vector<std::int64_t> index_keys_;
-  std::vector<std::size_t> index_vals_;
-  std::size_t index_mask_;
+  std::vector<Entry> index_;  // power-of-two size
+  std::size_t index_mask_ = 0;
   std::size_t count_ = 0;
 };
 

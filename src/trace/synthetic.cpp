@@ -81,8 +81,37 @@ TraceProfile TraceProfile::by_name(const std::string& name) {
   throw std::invalid_argument("TraceProfile: unknown preset '" + name + "'");
 }
 
+namespace {
+
+/// The stack presized from the profile. Every block of every request is
+/// one touch; the slack over the expected count means a normal run never
+/// compacts. The distinct blocks are the multiblock scans plus the
+/// single-block accesses that are not reuses; reuses sampled deeper than
+/// the stack turn into fresh blocks, so on short traces the index may
+/// still grow once.
+LruStack presized_stack(const TraceProfile& p) {
+  const auto requests = static_cast<double>(p.requests);
+  const double multi = std::clamp(p.multiblock_fraction, 0.0, 1.0);
+  const double multi_blocks = std::clamp(
+      p.multiblock_mean_blocks, 2.0,
+      std::max(2.0, static_cast<double>(p.multiblock_max_blocks)));
+  const double writes = std::clamp(p.single_write_fraction, 0.0, 1.0);
+  const double reuse = (1.0 - writes) * p.read_reuse_prob +
+                       writes * p.write_reuse_prob;
+  const double touches = requests * (1.0 + multi * (multi_blocks - 1.0));
+  const double blocks =
+      requests * (multi * multi_blocks +
+                  (1.0 - multi) * std::clamp(1.0 - reuse, 0.0, 1.0));
+  return LruStack(static_cast<std::size_t>(touches + touches / 32.0) + 4096,
+                  static_cast<std::size_t>(blocks) + 1024);
+}
+
+}  // namespace
+
 SyntheticTrace::SyntheticTrace(TraceProfile profile)
-    : profile_(std::move(profile)), rng_(profile_.seed) {
+    : profile_(std::move(profile)),
+      rng_(profile_.seed),
+      stack_(presized_stack(profile_)) {
   const auto& geo = profile_.geometry;
   if (geo.data_disks < 1 || geo.blocks_per_disk < 1)
     throw std::invalid_argument("SyntheticTrace: bad geometry");

@@ -37,6 +37,12 @@ std::int64_t FenwickTree::total() const {
 }
 
 std::size_t FenwickTree::select(std::int64_t target) const {
+  std::int64_t rank_in_slot = 0;
+  return select(target, rank_in_slot);
+}
+
+std::size_t FenwickTree::select(std::int64_t target,
+                                std::int64_t& rank_in_slot) const {
   assert(target >= 1 && target <= total());
   std::size_t pos = 0;
   // Highest power of two <= size_.
@@ -50,6 +56,7 @@ std::size_t FenwickTree::select(std::int64_t target) const {
       remaining -= tree_[next];
     }
   }
+  rank_in_slot = remaining;
   return pos;  // 0-based slot index
 }
 

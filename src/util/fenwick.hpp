@@ -38,6 +38,10 @@ class FenwickTree {
   /// (checked by assert in debug builds).
   std::size_t select(std::int64_t target) const;
 
+  /// select() that also stores the target's rank within the selected
+  /// slot, target - prefix_sum_exclusive(result), in `rank_in_slot`.
+  std::size_t select(std::int64_t target, std::int64_t& rank_in_slot) const;
+
  private:
   std::size_t size_ = 0;
   std::vector<std::int64_t> tree_;  // 1-based

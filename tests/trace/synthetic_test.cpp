@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
+#include "core/workloads.hpp"
 #include "trace/trace_stats.hpp"
 
 namespace raidsim {
@@ -158,6 +160,43 @@ TEST(PrefixAdapter, TruncatesStream) {
   std::uint64_t n = 0;
   while (prefix.next()) ++n;
   EXPECT_EQ(n, 100u);
+}
+
+/// FNV-1a over every record's (delta_ms bits, block, block_count,
+/// is_write), in stream order.
+std::uint64_t trace_digest(const std::string& name,
+                           const WorkloadOptions& options) {
+  SyntheticTrace trace(workload_profile(name, options));
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (v >> (8 * byte)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  while (auto rec = trace.next()) {
+    mix(std::bit_cast<std::uint64_t>(rec->delta_ms));
+    mix(static_cast<std::uint64_t>(rec->block));
+    mix(static_cast<std::uint64_t>(rec->block_count));
+    mix(rec->is_write ? 1 : 0);
+  }
+  return h;
+}
+
+// Golden digests pin the generator's output bit for bit: any change to
+// the RNG draw sequence or to which block the LRU stack returns at a
+// given depth moves them (and with them every simulated metric).
+TEST(Synthetic, GoldenDigestTrace1Scaled) {
+  EXPECT_EQ(trace_digest("trace1", {.scale = 0.02}), 0x5981ab9421406e84ULL);
+}
+
+TEST(Synthetic, GoldenDigestTrace2Full) {
+  EXPECT_EQ(trace_digest("trace2", {.scale = 1.0}), 0x395c0a7eb07bc746ULL);
+}
+
+TEST(Synthetic, GoldenDigestTrace1SeedOverride) {
+  EXPECT_EQ(trace_digest("trace1", {.scale = 0.02, .seed = 7}),
+            0xd24732c79d53b179ULL);
 }
 
 }  // namespace

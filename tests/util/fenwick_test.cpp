@@ -74,6 +74,10 @@ TEST(Fenwick, SelectMatchesNaive) {
       }
     }
     ASSERT_EQ(tree.select(target), expected) << "target=" << target;
+    std::int64_t rank_in_slot = 0;
+    ASSERT_EQ(tree.select(target, rank_in_slot), expected);
+    EXPECT_EQ(rank_in_slot, target - tree.prefix_sum_exclusive(expected))
+        << "target=" << target;
   }
 }
 
