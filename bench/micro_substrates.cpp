@@ -1,9 +1,10 @@
 // Micro-benchmarks (google-benchmark) for the simulator substrates:
-// event queue, disk service model, NV cache (mixed ops, index probes,
-// eviction churn), Fenwick tree, LRU stack, trace generation, and
-// trace loading (text parse vs binary walk).
+// event queue, disk service model and deep-queue dispatch, NV cache
+// (mixed ops, index probes, eviction churn), Fenwick tree, LRU stack,
+// trace generation, and trace loading (text parse vs binary walk).
 #include <benchmark/benchmark.h>
 
+#include <functional>
 #include <sstream>
 #include <string>
 
@@ -57,6 +58,39 @@ void BM_DiskRandomReads(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_DiskRandomReads)->Arg(4096);
+
+/// Closed loop at a fixed FIFO queue depth: every completion submits a
+/// replacement, so the disk always holds `depth` queued requests spread
+/// over the three priority classes. Per-op cost here is dispatch
+/// (queue pick) plus the service model; the pick is O(1) at any depth.
+void BM_DiskDeepQueue(benchmark::State& state) {
+  const int depth = static_cast<int>(state.range(0));
+  constexpr int kOps = 8192;
+  DiskGeometry geo;
+  const SeekModel seek = SeekModel::calibrate(SeekSpec{});
+  Rng rng(1);
+  for (auto _ : state) {
+    EventQueue eq;
+    Disk disk(eq, geo, &seek, 0, DiskScheduling::kFifo);
+    int submitted = 0;
+    std::function<void()> submit = [&] {
+      if (submitted == kOps) return;
+      ++submitted;
+      DiskRequest req;
+      req.kind = DiskOpKind::kRead;
+      req.priority = static_cast<DiskPriority>(rng.uniform_u64(3));
+      req.start_block = static_cast<std::int64_t>(
+          rng.uniform_u64(static_cast<std::uint64_t>(geo.total_blocks())));
+      req.on_complete = [&submit](SimTime) { submit(); };
+      disk.submit(std::move(req));
+    };
+    for (int i = 0; i < depth + 1; ++i) submit();
+    eq.run();
+    benchmark::DoNotOptimize(disk.stats().busy_ms);
+  }
+  state.SetItemsProcessed(state.iterations() * kOps);
+}
+BENCHMARK(BM_DiskDeepQueue)->Arg(8)->Arg(64)->Arg(512);
 
 void BM_NvCacheMixedOps(benchmark::State& state) {
   Rng rng(2);

@@ -118,11 +118,12 @@ void Simulator::dispatch(const TraceRecord& record,
                 on_complete = std::move(on_complete)](SimTime t) {
         obs_end(tracer_.get(), obs_id, host_phase, array, -1, t);
         const double response = t - arrival;
-        metrics_.response_all.add(response);
+        const std::size_t bucket = metrics_.response_all.bucket_of(response);
+        metrics_.response_all.add(response, bucket);
         (is_write ? metrics_.response_write : metrics_.response_read)
-            .add(response);
+            .add(response, bucket);
         metrics_.response_per_array[static_cast<std::size_t>(array)]
-            .add(response);
+            .add(response, bucket);
         ++metrics_.requests;
         --outstanding_;
         maybe_shutdown();

@@ -43,10 +43,21 @@ std::string to_string(DiskError error) {
   return "?";
 }
 
+RotationalPhase::RotationalPhase(double rotation_ms)
+    : rot_(rotation_ms), inv_rot_(1.0 / rotation_ms) {
+  // Veltkamp split with 2^27 + 1: rot_hi keeps the top 26 significant
+  // bits, rot_lo (exact) the rest, also within 26 bits.
+  const double c = 134217729.0 * rot_;
+  rot_hi_ = c - (c - rot_);
+  rot_lo_ = rot_ - rot_hi_;
+  exact_lo_ = 8.0 * rot_;
+  exact_hi_ = 67108864.0 * rot_;  // 2^26 revolutions
+}
+
 Disk::Disk(EventQueue& eq, const DiskGeometry& geometry, const SeekModel* seek,
            int id, DiskScheduling scheduling)
-    : eq_(eq), geometry_(geometry), seek_(seek), id_(id),
-      scheduling_(scheduling) {
+    : eq_(eq), geometry_(geometry), phase_(geometry.rotation_ms()), seek_(seek),
+      id_(id), scheduling_(scheduling) {
   if (!geometry_.valid()) throw std::invalid_argument("Disk: bad geometry");
   if (seek_ == nullptr) throw std::invalid_argument("Disk: null seek model");
 }
@@ -61,102 +72,79 @@ void Disk::submit(DiskRequest req) {
     if (req.on_power_fail) req.on_power_fail(eq_.now(), 0);
     return;
   }
-  Pending p{std::move(req), eq_.now(), next_seq_++};
+  const std::size_t cls = static_cast<std::size_t>(req.priority);
+  assert(cls < kPriorityClasses);
+  PendingRef p = make_op<Pending>(eq_.op_arena(), std::move(req), eq_.now(),
+                                  next_seq_++);
   if constexpr (kTracingCompiledIn) {
     if (tracer_) {
-      p.obs_phase = p.req.obs_phase != ObsPhase::kAuto ? p.req.obs_phase
-                    : p.req.kind == DiskOpKind::kRead  ? ObsPhase::kReadData
-                    : p.req.kind == DiskOpKind::kWrite ? ObsPhase::kWriteData
-                                                       : ObsPhase::kReadOldData;
-      p.obs_id =
-          tracer_->begin(ObsPhase::kDiskQueue, obs_array_, id_, p.enqueue_time);
+      p->obs_phase = p->req.obs_phase != ObsPhase::kAuto ? p->req.obs_phase
+                     : p->req.kind == DiskOpKind::kRead  ? ObsPhase::kReadData
+                     : p->req.kind == DiskOpKind::kWrite ? ObsPhase::kWriteData
+                                                         : ObsPhase::kReadOldData;
+      p->obs_id = tracer_->begin(ObsPhase::kDiskQueue, obs_array_, id_,
+                                 p->enqueue_time);
     }
   }
-  QueueKey key{p.seq, 0, p.req.priority};
-  if (scheduling_ != DiskScheduling::kFifo)
-    key.cylinder = geometry_.locate_block(p.req.start_block).cylinder;
-  queue_.push_back(std::move(p));
-  qkeys_.push_back(key);
+  ++queued_;
+  if (scheduling_ == DiskScheduling::kFifo) {
+    fifo_[cls].push_back(std::move(p));
+  } else {
+    qkeys_.push_back({p->seq, geometry_.locate_block(p->req.start_block).cylinder,
+                      p->req.priority, std::move(p)});
+  }
   if (!busy_) start_next();
 }
 
-Disk::Pending Disk::pop_next() {
-  assert(!qkeys_.empty() && qkeys_.size() == queue_.size());
+Disk::PendingRef Disk::pop_next() {
+  assert(queued_ > 0);
+  --queued_;
+  if (scheduling_ == DiskScheduling::kFifo) {
+    // Highest class first; each ring is already in arrival order.
+    for (std::size_t c = kPriorityClasses; c-- > 0;)
+      if (!fifo_[c].empty()) return fifo_[c].pop_front();
+  }
+
   const std::size_t n = qkeys_.size();
   // Highest priority class present wins regardless of scheduling policy.
   DiskPriority best_priority = DiskPriority::kDestage;
   for (const QueueKey& k : qkeys_)
     best_priority = std::max(best_priority, k.priority);
 
-  // Within the class, ties are broken by arrival (seq): with swap-remove
-  // the vectors are no longer arrival-ordered, so the tie-break that the
-  // old first-hit-wins scan got for free is explicit here.
+  // SSTF takes the nearest cylinder; SCAN (elevator) the nearest at or
+  // beyond the head in the sweep direction, reversing when none remains
+  // (SSTF always finds one on the first pass). Ties go to the earlier
+  // arrival (seq): swap-remove leaves the vector unordered.
+  const bool scan = scheduling_ == DiskScheduling::kScan;
   std::size_t chosen = n;
-  switch (scheduling_) {
-    case DiskScheduling::kFifo: {
-      std::uint64_t best_seq = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (qkeys_[i].priority != best_priority) continue;
-        if (chosen == n || qkeys_[i].seq < best_seq) {
-          chosen = i;
-          best_seq = qkeys_[i].seq;
-        }
+  for (int attempt = 0; attempt < 2 && chosen == n; ++attempt) {
+    int best_dist = 0;
+    std::uint64_t best_seq = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (qkeys_[i].priority != best_priority) continue;
+      const int delta = qkeys_[i].cylinder - head_cylinder_;
+      if (scan && (scan_upward_ ? delta < 0 : delta > 0)) continue;
+      const int dist = std::abs(delta);
+      if (chosen == n || dist < best_dist ||
+          (dist == best_dist && qkeys_[i].seq < best_seq)) {
+        chosen = i;
+        best_dist = dist;
+        best_seq = qkeys_[i].seq;
       }
-      break;
     }
-    case DiskScheduling::kSstf: {
-      int best_dist = 0;
-      std::uint64_t best_seq = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (qkeys_[i].priority != best_priority) continue;
-        const int dist = std::abs(qkeys_[i].cylinder - head_cylinder_);
-        if (chosen == n || dist < best_dist ||
-            (dist == best_dist && qkeys_[i].seq < best_seq)) {
-          chosen = i;
-          best_dist = dist;
-          best_seq = qkeys_[i].seq;
-        }
-      }
-      break;
-    }
-    case DiskScheduling::kScan: {
-      // Elevator: nearest request at or beyond the head in the sweep
-      // direction; reverse when none remains.
-      for (int attempt = 0; attempt < 2 && chosen == n; ++attempt) {
-        int best_dist = 0;
-        std::uint64_t best_seq = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-          if (qkeys_[i].priority != best_priority) continue;
-          const int delta = qkeys_[i].cylinder - head_cylinder_;
-          if (scan_upward_ ? delta < 0 : delta > 0) continue;
-          const int dist = std::abs(delta);
-          if (chosen == n || dist < best_dist ||
-              (dist == best_dist && qkeys_[i].seq < best_seq)) {
-            chosen = i;
-            best_dist = dist;
-            best_seq = qkeys_[i].seq;
-          }
-        }
-        if (chosen == n) scan_upward_ = !scan_upward_;
-      }
-      break;
-    }
+    if (chosen == n) scan_upward_ = !scan_upward_;
   }
   assert(chosen < n);
-  Pending p = std::move(queue_[chosen]);
-  queue_[chosen] = std::move(queue_.back());
-  queue_.pop_back();
-  qkeys_[chosen] = qkeys_.back();
+  PendingRef p = std::move(qkeys_[chosen].op);
+  qkeys_[chosen] = std::move(qkeys_.back());
   qkeys_.pop_back();
   return p;
 }
 
 double Disk::rotational_latency(SimTime t, int sector) const {
-  const double rot = geometry_.rotation_ms();
   const double target = static_cast<double>(sector) * geometry_.sector_time_ms();
-  double angle = std::fmod(t, rot);
-  double lat = target - angle;
-  if (lat < 0.0) lat += rot;
+  double lat = target - phase_(t);
+  if (lat < 0.0) lat += phase_.rotation_ms();
   return lat;
 }
 
@@ -201,7 +189,7 @@ Disk::TransferPlan Disk::plan_transfer(SimTime t, int head_cyl,
 }
 
 void Disk::start_next() {
-  if (queue_.empty()) {
+  if (queued_ == 0) {
     busy_ = false;
     return;
   }
@@ -209,16 +197,16 @@ void Disk::start_next() {
   begin_service(pop_next());
 }
 
-void Disk::begin_service(Pending p) {
+void Disk::begin_service(PendingRef p) {
   const SimTime start = eq_.now();
-  stats_.queue_ms += start - p.enqueue_time;
-  obs_end(tracer_, p.obs_id, ObsPhase::kDiskQueue, obs_array_, id_, start);
-  obs_begin_with(tracer_, p.obs_id, p.obs_phase, obs_array_, id_, start);
-  if (p.req.on_start) p.req.on_start(start);
+  stats_.queue_ms += start - p->enqueue_time;
+  obs_end(tracer_, p->obs_id, ObsPhase::kDiskQueue, obs_array_, id_, start);
+  obs_begin_with(tracer_, p->obs_id, p->obs_phase, obs_array_, id_, start);
+  if (p->req.on_start) p->req.on_start(start);
 
   const std::int64_t start_sector =
-      p.req.start_block * geometry_.block_sectors;
-  const int sector_count = p.req.block_count * geometry_.block_sectors;
+      p->req.start_block * geometry_.block_sectors;
+  const int sector_count = p->req.block_count * geometry_.block_sectors;
   const TransferPlan plan =
       plan_transfer(start, head_cylinder_, start_sector, sector_count);
   stats_.seek_ms += plan.seek_ms;
@@ -230,7 +218,7 @@ void Disk::begin_service(Pending p) {
   // so injection-off runs are bit-identical to a build without the hook.
   double extra_ms = 0.0;
   if (slowdown_hook_) {
-    extra_ms = slowdown_hook_(p.req, start, plan.end_time - start);
+    extra_ms = slowdown_hook_(p->req, start, plan.end_time - start);
     if (extra_ms > 0.0) {
       ++stats_.slow_ops;
       stats_.slowdown_ms += extra_ms;
@@ -239,14 +227,13 @@ void Disk::begin_service(Pending p) {
     }
   }
 
-  switch (p.req.kind) {
+  switch (p->req.kind) {
     case DiskOpKind::kRead:
     case DiskOpKind::kWrite: {
       stats_.transfer_ms += plan.transfer_ms;
-      (p.req.kind == DiskOpKind::kRead ? stats_.reads : stats_.writes)++;
-      auto shared = make_op<Pending>(eq_.op_arena(), std::move(p));
-      active_ = shared;
-      if (shared->req.kind == DiskOpKind::kWrite) {
+      (p->req.kind == DiskOpKind::kRead ? stats_.reads : stats_.writes)++;
+      active_ = p;
+      if (p->req.kind == DiskOpKind::kWrite) {
         active_write_start_ = plan.transfer_start;
         active_write_end_ = plan.end_time;
       }
@@ -255,9 +242,10 @@ void Disk::begin_service(Pending p) {
       // Capture scalars, not the whole TransferPlan: the lambda then fits
       // EventQueue::Callback's buffer and the schedule allocates nothing.
       const int end_cyl = plan.end_cylinder;
-      eq_.schedule_at(done, [this, shared, start, done, end_cyl, epoch] {
+      eq_.schedule_at(done, [this, p = std::move(p), start, done, end_cyl,
+                             epoch] {
         if (epoch != power_epoch_) return;  // killed by a power failure
-        complete(*shared, start, done, end_cyl);
+        complete(*p, start, done, end_cyl);
       });
       break;
     }
@@ -273,8 +261,7 @@ void Disk::begin_service(Pending p) {
       const double rot = geometry_.rotation_ms();
       const int min_revs = std::max(
           1, static_cast<int>(std::ceil(plan.transfer_ms / rot - 1e-9)));
-      auto shared = make_op<Pending>(eq_.op_arena(), std::move(p));
-      active_ = shared;
+      active_ = p;
       const std::uint64_t epoch = power_epoch_;
       // A slow read pass delays read_done; schedule_rmw_write then pushes
       // the in-place rewrite onto a later whole revolution, exactly as a
@@ -282,29 +269,29 @@ void Disk::begin_service(Pending p) {
       // gate waiter inside their inline-storage buffers.
       const SimTime xfer_start = plan.transfer_start;
       const int end_cyl = plan.end_cylinder;
-      eq_.schedule_at(plan.end_time + extra_ms, [this, shared, start,
-                                                 xfer_start, end_cyl,
+      eq_.schedule_at(plan.end_time + extra_ms, [this, p = std::move(p),
+                                                 start, xfer_start, end_cyl,
                                                  sector_count, min_revs,
                                                  epoch] {
         if (epoch != power_epoch_) return;  // killed by a power failure
         const SimTime read_done = eq_.now();
-        if (shared->obs_id) {
+        if (p->obs_id) {
           // Close the read pass, open the write pass under the same span
           // id; the write span absorbs any gate hold and rotation wait.
-          obs_end(tracer_, shared->obs_id, shared->obs_phase, obs_array_, id_,
+          obs_end(tracer_, p->obs_id, p->obs_phase, obs_array_, id_,
                   read_done);
-          shared->obs_phase = rmw_write_phase(shared->obs_phase);
-          obs_begin_with(tracer_, shared->obs_id, shared->obs_phase,
+          p->obs_phase = rmw_write_phase(p->obs_phase);
+          obs_begin_with(tracer_, p->obs_id, p->obs_phase,
                          obs_array_, id_, read_done);
         }
-        if (shared->req.on_read_done) shared->req.on_read_done(read_done);
-        auto& gate = shared->req.gate;
+        if (p->req.on_read_done) p->req.on_read_done(read_done);
+        auto& gate = p->req.gate;
         if (gate && !gate->is_open()) {
           // Hold the disk: spin until the gate opens (SI policy behaviour).
-          gate->waiter_ = [this, shared, start, xfer_start, sector_count,
+          gate->waiter_ = [this, p, start, xfer_start, sector_count,
                            end_cyl, min_revs, epoch](SimTime opened) {
             if (epoch != power_epoch_) return;
-            schedule_rmw_write(shared, start, xfer_start, sector_count,
+            schedule_rmw_write(p, start, xfer_start, sector_count,
                                end_cyl, min_revs, opened);
           };
         } else {
@@ -312,7 +299,7 @@ void Disk::begin_service(Pending p) {
           // read pass actually ended, whatever the gate says.
           const SimTime earliest =
               gate ? std::max(gate->ready_time(), read_done) : read_done;
-          schedule_rmw_write(shared, start, xfer_start, sector_count,
+          schedule_rmw_write(p, start, xfer_start, sector_count,
                              end_cyl, min_revs, earliest);
         }
       });
@@ -321,7 +308,7 @@ void Disk::begin_service(Pending p) {
   }
 }
 
-void Disk::schedule_rmw_write(OpRef<Pending> p, SimTime service_start,
+void Disk::schedule_rmw_write(PendingRef p, SimTime service_start,
                               SimTime transfer_start, int sector_count,
                               int end_cylinder, int min_revolutions,
                               SimTime earliest) {
@@ -357,23 +344,25 @@ Disk::PowerFailReport Disk::power_fail() {
   powered_off_ = true;
   ++power_epoch_;  // invalidates every scheduled completion/waiter
 
-  // Swap-remove leaves the queue vectors unordered; deliver the kill
-  // callbacks in arrival (seq) order so crash handling stays
-  // deterministic and matches what a FIFO walk of the queue produced.
-  std::vector<std::size_t> order(queue_.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [this](std::size_t a, std::size_t b) {
-    return queue_[a].seq < queue_[b].seq;
-  });
-  for (std::size_t i : order) {
-    Pending& p = queue_[i];
+  // Deliver the kill callbacks in global arrival (seq) order across
+  // classes, so crash handling stays deterministic whatever the queue
+  // layout. The queue still owns every op while the callbacks run.
+  std::vector<Pending*> order;
+  order.reserve(queued_);
+  for (RingQueue<PendingRef>& ring : fifo_)
+    for (std::size_t i = 0; i < ring.size(); ++i) order.push_back(ring[i].get());
+  for (const QueueKey& k : qkeys_) order.push_back(k.op.get());
+  std::sort(order.begin(), order.end(),
+            [](const Pending* a, const Pending* b) { return a->seq < b->seq; });
+  for (Pending* p : order) {
     ++report.queued_ops;
-    if (p.req.kind != DiskOpKind::kRead)
-      report.write_blocks_lost += static_cast<std::uint64_t>(p.req.block_count);
-    if (p.req.on_power_fail) p.req.on_power_fail(eq_.now(), 0);
+    if (p->req.kind != DiskOpKind::kRead)
+      report.write_blocks_lost += static_cast<std::uint64_t>(p->req.block_count);
+    if (p->req.on_power_fail) p->req.on_power_fail(eq_.now(), 0);
   }
-  queue_.clear();
+  for (RingQueue<PendingRef>& ring : fifo_) ring.clear();
   qkeys_.clear();
+  queued_ = 0;
 
   if (busy_ && active_) {
     ++report.inflight_ops;

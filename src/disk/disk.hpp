@@ -1,5 +1,7 @@
 #pragma once
 
+#include <array>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -13,6 +15,7 @@
 #include "sim/event_queue.hpp"
 #include "sim/small_function.hpp"
 #include "util/arena.hpp"
+#include "util/ring_queue.hpp"
 #include "util/stats.hpp"
 
 namespace raidsim {
@@ -152,6 +155,47 @@ struct DiskStats {
   }
 };
 
+/// Angular position of a continuously spinning platter: `t mod rot`,
+/// bit-identical to std::fmod(t, rot) for every t, without the libm call
+/// on the simulator's working range. rot is Veltkamp-split into
+/// rot_hi + rot_lo (26 significant bits each), so for an integer
+/// quotient q < 2^26 both q*rot_hi and q*rot_lo are exact; for
+/// t >= 8*rot the first subtraction is exact by Sterbenz. The remainder
+/// t - q*rot is then exact too, and equals fmod's (always representable)
+/// result once q is stepped to the true quotient. Outside
+/// [8*rot, 2^26*rot) it falls back to std::fmod.
+class RotationalPhase {
+ public:
+  explicit RotationalPhase(double rotation_ms);
+
+  double operator()(double t) const {
+    if (!(t >= exact_lo_ && t < exact_hi_)) return std::fmod(t, rot_);
+    // The int cast truncates (t > 0), so no floor() call; the estimate is
+    // within one of the true quotient.
+    double q = static_cast<double>(static_cast<std::int64_t>(t * inv_rot_));
+    double r = (t - q * rot_hi_) - q * rot_lo_;
+    while (r < 0.0) {
+      q -= 1.0;
+      r = (t - q * rot_hi_) - q * rot_lo_;
+    }
+    while (r >= rot_) {
+      q += 1.0;
+      r = (t - q * rot_hi_) - q * rot_lo_;
+    }
+    return r;
+  }
+
+  double rotation_ms() const { return rot_; }
+
+ private:
+  double rot_;
+  double inv_rot_;
+  double rot_hi_;
+  double rot_lo_;
+  double exact_lo_;
+  double exact_hi_;
+};
+
 /// Event-driven model of a single rotating disk drive with a FIFO
 /// priority queue, the calibrated seek curve, and continuous rotation
 /// (rotational position is a function of absolute simulation time; no
@@ -235,7 +279,9 @@ class Disk {
   bool busy() const { return busy_; }
   /// Head position as of the most recent service completion/start.
   int current_cylinder() const { return head_cylinder_; }
-  std::size_t queue_length() const { return queue_.size(); }
+  /// Queued ops not yet in service (mirror read routing and the
+  /// samplers read this).
+  std::size_t queue_length() const { return queued_; }
   const DiskStats& stats() const { return stats_; }
 
   /// Per-op latency (enqueue -> completion) of every access served by
@@ -247,28 +293,36 @@ class Disk {
   double ewma_latency_ms() const { return ewma_latency_ms_; }
 
  private:
+  /// One queued or in-service access. Built once, in the engine's op
+  /// arena, at submit; the queue and the service callbacks share it by
+  /// 8-byte handle.
   struct Pending {
+    Pending(DiskRequest&& r, SimTime enqueued, std::uint64_t s)
+        : req(std::move(r)), enqueue_time(enqueued), seq(s) {}
     DiskRequest req;
     SimTime enqueue_time;
     std::uint64_t seq;
     std::uint64_t obs_id = 0;               // span id, 0 when untraced
     ObsPhase obs_phase = ObsPhase::kAuto;   // resolved service phase
   };
+  using PendingRef = OpRef<Pending>;
 
-  /// Hot half of the queue: everything the scheduling scan needs, 16
-  /// bytes per entry, parallel to the cold Pending vector. The cylinder
-  /// is precomputed at submit (only under SSTF/SCAN — FIFO never reads
-  /// it), so pop_next touches neither the requests nor the geometry.
+  /// SSTF/SCAN queue entry: the scheduling key next to the handle, so
+  /// the scan never dereferences a request. The cylinder is computed at
+  /// submit.
   struct QueueKey {
     std::uint64_t seq;
     int cylinder;
     DiskPriority priority;
+    PendingRef op;
   };
+  static constexpr std::size_t kPriorityClasses = 3;
 
-  /// Select (and remove, by swap-with-back) the next request to service:
-  /// the highest priority class present, ordered within the class by the
-  /// scheduling policy with (time-of-arrival) seq breaking ties.
-  Pending pop_next();
+  /// Select and dequeue the next request to service: the highest
+  /// priority class present, ordered within the class by the scheduling
+  /// policy with (time-of-arrival) seq breaking ties. FIFO is O(1): the
+  /// front of the highest non-empty class ring.
+  PendingRef pop_next();
 
   /// Timing of one contiguous transfer starting with the head at
   /// `head_cyl` at time `t`.
@@ -288,8 +342,8 @@ class Disk {
   double rotational_latency(SimTime t, int sector) const;
 
   void start_next();
-  void begin_service(Pending p);
-  void schedule_rmw_write(OpRef<Pending> p, SimTime service_start,
+  void begin_service(PendingRef p);
+  void schedule_rmw_write(PendingRef p, SimTime service_start,
                           SimTime transfer_start, int sector_count,
                           int end_cylinder, int min_revolutions,
                           SimTime earliest);
@@ -298,6 +352,7 @@ class Disk {
 
   EventQueue& eq_;
   DiskGeometry geometry_;
+  RotationalPhase phase_;
   const SeekModel* seek_;
   int id_;
   Tracer* tracer_ = nullptr;
@@ -307,8 +362,11 @@ class Disk {
   std::uint64_t next_seq_ = 0;
   DiskScheduling scheduling_;
   bool scan_upward_ = true;  // SCAN sweep direction
-  std::vector<Pending> queue_;    // cold: requests + bookkeeping
-  std::vector<QueueKey> qkeys_;   // hot: parallel scheduling keys
+  // FIFO keeps one ring per DiskPriority, each in seq order; SSTF/SCAN
+  // keep an unordered key vector scanned at pop. Only one is in use.
+  std::array<RingQueue<PendingRef>, kPriorityClasses> fifo_;
+  std::vector<QueueKey> qkeys_;
+  std::size_t queued_ = 0;
   DiskStats stats_;
   FaultEvaluator fault_evaluator_;
   SlowdownHook slowdown_hook_;
@@ -321,7 +379,7 @@ class Disk {
   // within an in-flight write when the lights go out.
   std::uint64_t power_epoch_ = 0;
   bool powered_off_ = false;
-  OpRef<Pending> active_;
+  PendingRef active_;
   SimTime active_write_start_ = -1.0;  // < 0: no write phase under way
   SimTime active_write_end_ = -1.0;
 };

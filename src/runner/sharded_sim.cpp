@@ -231,8 +231,10 @@ void ShardedSimulator::dispatch(Shard& shard, const ShardRecord& record) {
         obs_end(shard.tracer.get(), obs_id, host_phase, array.global_index,
                 -1, t);
         const double response = t - arrival;
-        array.response_all.add(response);
-        (is_write ? array.response_write : array.response_read).add(response);
+        const std::size_t bucket = array.response_all.bucket_of(response);
+        array.response_all.add(response, bucket);
+        (is_write ? array.response_write : array.response_read)
+            .add(response, bucket);
         ++array.requests;
         --shard.outstanding;
         assert(array.remaining > 0);

@@ -47,14 +47,13 @@ Histogram::Histogram(double min_value, double max_value, std::size_t buckets)
   assert(min_value > 0.0 && max_value > min_value && buckets > 0);
 }
 
-void Histogram::add(double x) {
+std::size_t Histogram::bucket_of(double x) const {
   std::size_t idx = 0;
   if (x > min_value_) {
     idx = static_cast<std::size_t>((std::log(x) - log_min_) / log_step_);
     if (idx >= counts_.size()) idx = counts_.size() - 1;
   }
-  ++counts_[idx];
-  ++total_;
+  return idx;
 }
 
 void Histogram::merge(const Histogram& other) {
@@ -89,9 +88,11 @@ double Histogram::quantile(double q) const {
 
 LatencyRecorder::LatencyRecorder() : hist_(0.01, 100000.0, 512) {}
 
-void LatencyRecorder::add(double ms) {
+void LatencyRecorder::add(double ms) { add(ms, bucket_of(ms)); }
+
+void LatencyRecorder::add(double ms, std::size_t bucket) {
   stats_.add(ms);
-  hist_.add(ms);
+  hist_.add_to_bucket(bucket);
 }
 
 void LatencyRecorder::merge(const LatencyRecorder& other) {

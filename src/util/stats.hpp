@@ -36,8 +36,16 @@ class Histogram {
  public:
   Histogram(double min_value, double max_value, std::size_t buckets);
 
-  void add(double x);
+  void add(double x) { add_to_bucket(bucket_of(x)); }
   void merge(const Histogram& other);
+
+  /// Bucket that add(x) counts x in. Histograms built with the same
+  /// bounds agree, so one lookup can feed several of them.
+  std::size_t bucket_of(double x) const;
+  void add_to_bucket(std::size_t bucket) {
+    ++counts_[bucket];
+    ++total_;
+  }
 
   std::uint64_t count() const { return total_; }
 
@@ -64,6 +72,11 @@ class LatencyRecorder {
   LatencyRecorder();
 
   void add(double ms);
+  /// add(ms) with its histogram bucket already known (bucket_of(ms) of
+  /// any recorder; all share the same bounds): a response fed to several
+  /// recorders pays for one log().
+  void add(double ms, std::size_t bucket);
+  std::size_t bucket_of(double ms) const { return hist_.bucket_of(ms); }
   void merge(const LatencyRecorder& other);
 
   const OnlineStats& stats() const { return stats_; }

@@ -119,5 +119,42 @@ TEST(LatencyRecorder, Merge) {
   EXPECT_NEAR(a.mean(), 2.0, 1e-12);
 }
 
+TEST(LatencyRecorder, AddWithPrecomputedBucketIsIdentical) {
+  // add(x, bucket_of(x)) on one recorder must leave exactly what add(x)
+  // leaves on another, and the bucket may come from a third recorder.
+  LatencyRecorder plain, bucketed;
+  const LatencyRecorder probe;
+  std::vector<double> xs{-1.0, 0.0, 0.005, 0.01, 100000.0, 1e9, 7.25};
+  const Histogram& h = probe.histogram();
+  for (std::size_t i = 0; i < h.bucket_count(); i += 37) {
+    const double edge = h.bucket_lower_bound(i);
+    xs.push_back(edge);
+    xs.push_back(std::nextafter(edge, 0.0));
+    xs.push_back(std::nextafter(edge, 1e300));
+  }
+  Rng rng(3);
+  for (int i = 0; i < 5000; ++i) xs.push_back(std::exp(rng.uniform(-6.0, 13.0)));
+  for (double x : xs) {
+    plain.add(x);
+    bucketed.add(x, probe.bucket_of(x));
+  }
+  const OnlineStats& a = plain.stats();
+  const OnlineStats& b = bucketed.stats();
+  EXPECT_EQ(a.count(), b.count());
+  EXPECT_EQ(a.mean(), b.mean());
+  EXPECT_EQ(a.variance(), b.variance());
+  EXPECT_EQ(a.min(), b.min());
+  EXPECT_EQ(a.max(), b.max());
+  ASSERT_EQ(plain.histogram().count(), bucketed.histogram().count());
+  for (std::size_t i = 0; i < h.bucket_count(); ++i)
+    ASSERT_EQ(plain.histogram().bucket(i), bucketed.histogram().bucket(i))
+        << "bucket " << i;
+  EXPECT_EQ(plain.p999(), bucketed.p999());
+  // The edge values really land in the edge buckets.
+  EXPECT_EQ(probe.bucket_of(-1.0), 0u);
+  EXPECT_EQ(probe.bucket_of(0.01), 0u);
+  EXPECT_EQ(probe.bucket_of(1e9), h.bucket_count() - 1);
+}
+
 }  // namespace
 }  // namespace raidsim
