@@ -1,12 +1,16 @@
 // Micro-benchmarks (google-benchmark) for the simulator substrates:
 // event queue, disk service model and deep-queue dispatch, NV cache
 // (mixed ops, index probes, eviction churn), Fenwick tree, LRU stack,
-// trace generation, and trace loading (text parse vs binary walk).
+// trace generation, trace loading (text parse vs binary walk), the
+// latency recorder (per-sample add, sharded merge + tail quantiles) and
+// the op-state arena's allocate/copy/release churn.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <functional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "cache/nv_cache.hpp"
 #include "core/workloads.hpp"
@@ -15,8 +19,10 @@
 #include "trace/lru_stack.hpp"
 #include "trace/synthetic.hpp"
 #include "trace/trace_io.hpp"
+#include "util/arena.hpp"
 #include "util/fenwick.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace {
 
@@ -260,6 +266,74 @@ BENCHMARK_CAPTURE(BM_SyntheticTraceGeneration, trace2_20k, trace2_20k());
 BENCHMARK_CAPTURE(BM_SyntheticTraceGeneration, trace1_scale0_1,
                   workload_profile("trace1", {.scale = 0.1}))
     ->Unit(benchmark::kMillisecond);
+
+/// Every disk op and every host response feeds a log-bucketed
+/// LatencyRecorder; the add is on the per-event path.
+void BM_LatencyRecorderAdd(benchmark::State& state) {
+  constexpr int kShards = 16;
+  std::vector<LatencyRecorder> shards(kShards);
+  std::uint64_t lcg = 0x9e3779b97f4a7c15ULL;
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+    // Log-uniform-ish latencies spanning sub-ms to tens of seconds: the
+    // recorder's whole bucket range stays hot.
+    const double ms =
+        static_cast<double>((lcg >> 44) + 1) / 16.0;  // ~0.06..65536 ms
+    shards[i++ & (kShards - 1)].add(ms);
+  }
+  benchmark::DoNotOptimize(shards.data());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LatencyRecorderAdd);
+
+/// The sharded engine's end of run: merge 16 per-shard recorders, then
+/// the p50/p95/p99/p999 tail pass.
+void BM_LatencyRecorderMergeQuantiles(benchmark::State& state) {
+  constexpr int kShards = 16;
+  std::vector<LatencyRecorder> shards(kShards);
+  std::uint64_t lcg = 0x9e3779b97f4a7c15ULL;
+  for (std::uint64_t i = 0; i < 200'000; ++i) {
+    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+    const double ms = static_cast<double>((lcg >> 44) + 1) / 16.0;
+    shards[i & (kShards - 1)].add(ms);
+  }
+  for (auto _ : state) {
+    LatencyRecorder merged;
+    for (const auto& s : shards) merged.merge(s);
+    benchmark::DoNotOptimize(merged.p50() + merged.p95() + merged.p99() +
+                             merged.p999());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LatencyRecorderMergeQuantiles);
+
+/// Op-state churn: keep a window of 256 live ops; each step allocates
+/// one, fans its handle out the way an RMW chain copies its completion
+/// into barrier/gate callbacks, then retires a pseudo-random window
+/// slot. Sized for the 512-byte class (the in-flight disk op class).
+void BM_OpArenaChurn(benchmark::State& state) {
+  constexpr int kOpWindow = 256;
+  OpArena arena;
+  std::vector<OpRef<std::array<char, 480>>> window(kOpWindow);
+  std::uint64_t lcg = 0x2545f4914f6cdd1dULL;
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    auto op = make_op<std::array<char, 480>>(arena);
+    (*op)[0] = static_cast<char>(i++);
+    // Four handle copies: the read barrier, the write gate, the parity
+    // countdown, and the completion continuation of a typical RMW chain.
+    auto a = op;
+    auto b = a;
+    auto c = b;
+    auto d = c;
+    benchmark::DoNotOptimize((*d)[0]);
+    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+    window[(lcg >> 33) % kOpWindow] = std::move(op);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_OpArenaChurn);
 
 }  // namespace
 

@@ -62,6 +62,17 @@ Disk::Disk(EventQueue& eq, const DiskGeometry& geometry, const SeekModel* seek,
   if (seek_ == nullptr) throw std::invalid_argument("Disk: null seek model");
 }
 
+// An RMW held on a closed gate is owned by the gate's waiter, and its
+// request owns the gate: a refcount cycle that only the gate opening
+// breaks. A run cancelled mid-hold never opens it, so the disk cuts the
+// cycle when it goes, or both ops outlive the engine's op arena.
+Disk::~Disk() { drop_gate_waiter(); }
+
+void Disk::drop_gate_waiter() {
+  // active_ still holds the op, so the gate outlives the reset.
+  if (active_ && active_->req.gate) active_->req.gate->waiter_ = nullptr;
+}
+
 void Disk::submit(DiskRequest req) {
   assert(req.start_block >= 0 && req.block_count > 0);
   assert(req.start_block + req.block_count <= geometry_.total_blocks());
@@ -386,6 +397,7 @@ Disk::PowerFailReport Disk::power_fail() {
     if (active_->req.on_power_fail)
       active_->req.on_power_fail(eq_.now(), durable);
   }
+  drop_gate_waiter();  // a held op's waiter is dead after the epoch bump
   active_.reset();
   active_write_start_ = active_write_end_ = -1.0;
   busy_ = false;

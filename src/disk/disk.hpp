@@ -205,6 +205,8 @@ class Disk {
   Disk(EventQueue& eq, const DiskGeometry& geometry, const SeekModel* seek,
        int id, DiskScheduling scheduling = DiskScheduling::kFifo);
 
+  ~Disk();
+
   Disk(const Disk&) = delete;
   Disk& operator=(const Disk&) = delete;
 
@@ -349,6 +351,8 @@ class Disk {
                           SimTime earliest);
   void complete(const Pending& p, SimTime service_start, SimTime end_time,
                 int end_cylinder);
+  /// Cut the hold cycle of the active op (see ~Disk).
+  void drop_gate_waiter();
 
   EventQueue& eq_;
   DiskGeometry geometry_;

@@ -145,8 +145,8 @@ class MetricsRegistry {
                              std::size_t buckets = 40);
 
   /// Runtime kill switch (default on). Off: every update is one relaxed
-  /// load + branch; values freeze. perf_harness's `telemetry` section
-  /// measures the on/off delta.
+  /// load + branch; values freeze. On and off give bit-identical
+  /// Metrics (ProgressHook.RegistryOnOffRunsAreBitIdentical).
   void set_enabled(bool enabled) {
     enabled_.store(enabled, std::memory_order_relaxed);
   }

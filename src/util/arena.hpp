@@ -54,14 +54,15 @@ inline constexpr std::size_t kClassOf =
 
 /// Per-engine allocator for op state. Owned by the EventQueue (one per
 /// classic engine, one per shard), so every op allocated against an
-/// engine is freed before that engine's arena dies, and no thread_local
-/// lookup sits on the alloc path. Blocks are bump-allocated from
+/// engine is freed before that engine's arena dies (Debug builds count
+/// live ops and assert it: a refcount cycle would break it), and no
+/// thread_local lookup sits on the alloc path. Blocks are bump-allocated from
 /// size-class slabs and recycled through intrusive per-class free lists
 /// (a freed block's first 8 bytes become the next pointer). Slabs are
 /// retained across reset(), so a reused engine reaches steady state with
 /// zero further global-heap traffic -- heap_allocations() counts exactly
-/// the acquisitions that do happen (slabs + oversize fallbacks) so the
-/// perf harness can assert the steady-state count stays flat.
+/// the acquisitions that do happen (slabs + oversize fallbacks); the
+/// OpArena tests assert the count stays flat in steady state.
 ///
 /// Thread ownership: the arena is deliberately non-atomic, which is
 /// only sound because an engine's ops live and die on one shard thread.
@@ -76,13 +77,14 @@ class OpArena {
   OpArena(const OpArena&) = delete;
   OpArena& operator=(const OpArena&) = delete;
   ~OpArena() {
+    assert(live_ == 0 && "op state outlived its engine's arena");
     for (auto& c : classes_)
       for (char* slab : c.slabs) ::operator delete(slab);
   }
 
   /// Global-heap acquisitions made through this arena: slab grabs and
-  /// oversize fallbacks. The perf harness asserts the delta over a
-  /// steady-state segment is zero.
+  /// oversize fallbacks. OpArena.SteadyStateChurnKeepsHeapFlat asserts
+  /// the delta over a steady-state segment is zero.
   std::uint64_t heap_allocations() const { return heap_allocations_; }
 
   /// Number of retained slabs across all classes (introspection/tests).
@@ -96,6 +98,7 @@ class OpArena {
   /// free lists. Precondition: no live OpRefs against this arena -- the
   /// engine calls this only at run teardown.
   void reset() {
+    assert(live_ == 0);
     for (auto& c : classes_) {
       c.slab_idx = 0;
       c.offset = 0;
@@ -104,6 +107,7 @@ class OpArena {
   }
 
 #ifndef NDEBUG
+  void debug_note_free() noexcept { --live_; }
   void bind_owner() {
     owner_ = std::this_thread::get_id();
     bound_ = true;
@@ -114,6 +118,7 @@ class OpArena {
            "op state touched off its owning shard thread");
   }
 #else
+  void debug_note_free() noexcept {}
   void bind_owner() {}
   void release_owner() {}
   void debug_check_owner() const {}
@@ -133,6 +138,9 @@ class OpArena {
       debug_check_owner();
       h = static_cast<op_detail::OpHeader*>(arena_block(cls));
     }
+#ifndef NDEBUG
+    ++live_;
+#endif
     h->arena = this;
     h->refs = 1;
     h->cls = static_cast<std::uint32_t>(cls);
@@ -142,6 +150,7 @@ class OpArena {
   /// Return a slab block to its class free list. Internal.
   void free_arena_block(op_detail::OpHeader* h) noexcept {
     debug_check_owner();
+    debug_note_free();
     SizeClass& c = classes_[h->cls];
     *reinterpret_cast<void**>(h) = c.free_head;
     c.free_head = h;
@@ -185,6 +194,7 @@ class OpArena {
 #ifndef NDEBUG
   std::thread::id owner_;
   bool bound_ = false;
+  std::size_t live_ = 0;  // ops allocated and not yet freed
 #endif
 };
 
@@ -209,9 +219,10 @@ inline bool release(OpHeader* h) noexcept {
 /// Return a block (payload already destroyed) to wherever it came from.
 template <typename T>
 void free_raw(OpHeader* h) noexcept {
-  if constexpr (kClassOf<T> >= kClasses)
+  if constexpr (kClassOf<T> >= kClasses) {
+    h->arena->debug_note_free();
     ::operator delete(h);
-  else
+  } else
     h->arena->free_arena_block(h);
 }
 

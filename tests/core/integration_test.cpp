@@ -4,6 +4,8 @@
 // paper builds its analysis on.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "core/simulator.hpp"
 #include "core/workloads.hpp"
 
@@ -24,10 +26,15 @@ Metrics run(Organization org, bool cached, double scale = 0.03,
   return run_simulation(config, *trace);
 }
 
+// GoogleTest names each instance with the raw bytes of its parameter, so
+// the padding after `cached` is spelled out and zeroed: left implicit, it
+// holds whatever the stack held and the test names change between builds.
 struct Case {
   Organization org;
   bool cached;
+  std::uint8_t padding[3] = {};
 };
+static_assert(sizeof(Case) == 8, "Case must have no implicit padding");
 
 class EveryOrganization : public ::testing::TestWithParam<Case> {};
 

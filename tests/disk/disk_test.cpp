@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <vector>
 
 namespace raidsim {
@@ -120,6 +121,34 @@ TEST_F(DiskTest, GateOpenedBeforeReadEndDoesNotHold) {
   eq_.run();
   EXPECT_NEAR(completed, rotation_ms() + block_xfer_ms(), 1e-9);
   EXPECT_EQ(disk_.stats().held_rotations, 0u);
+}
+
+// A held RMW is referenced by its gate's waiter and holds the gate: when
+// the gate never opens (the run was cancelled, or the disk lost power),
+// destroying or powering off the disk must still release the op.
+TEST(DiskTeardown, OpHeldOnClosedGateIsReleased) {
+  const SeekModel seek = SeekModel::calibrate(SeekSpec{});
+  for (const bool power_fail : {false, true}) {
+    SCOPED_TRACE(power_fail ? "power_fail" : "~Disk");
+    EventQueue eq;
+    auto token = std::make_shared<int>(0);
+    const std::weak_ptr<int> watch = token;
+    {
+      Disk disk(eq, DiskGeometry{}, &seek, 0);
+      DiskRequest req;
+      req.kind = DiskOpKind::kReadModifyWrite;
+      req.gate = make_op<WriteGate>(eq.op_arena());
+      req.on_complete = [token = std::move(token)](SimTime) {};
+      disk.submit(std::move(req));
+      eq.run();  // read pass done: the disk now holds on the closed gate
+      EXPECT_FALSE(watch.expired());
+      if (power_fail) {
+        disk.power_fail();
+        EXPECT_TRUE(watch.expired());
+      }
+    }
+    EXPECT_TRUE(watch.expired());
+  }
 }
 
 TEST_F(DiskTest, LargeRmwNeedsMultipleRevolutionsBeforeRewrite) {

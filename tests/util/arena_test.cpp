@@ -102,6 +102,36 @@ TEST(OpArena, ResetReuseKeepsHeapFlat) {
   EXPECT_GT(arena.slab_count(), 0u);
 }
 
+// The per-request op-state pattern, with no reset() in between: keep a
+// window of live ops; each step allocates one (the 512-byte in-flight
+// disk op class), fans its handle out the way an RMW chain copies its
+// completion into barrier/gate callbacks, then retires a pseudo-random
+// window slot. Once warm, the free lists serve every allocation.
+TEST(OpArena, SteadyStateChurnKeepsHeapFlat) {
+  constexpr int kOpWindow = 256;
+  constexpr std::uint64_t kSteps = 200'000;
+  OpArena arena;
+  std::vector<OpRef<std::array<char, 480>>> window(kOpWindow);
+  std::uint64_t lcg = 0x2545f4914f6cdd1dULL;
+  auto step = [&] {
+    auto op = make_op<std::array<char, 480>>(arena);
+    // Four handle copies: the read barrier, the write gate, the parity
+    // countdown, and the completion continuation of a typical RMW chain.
+    auto a = op;
+    auto b = a;
+    auto c = b;
+    auto d = c;
+    EXPECT_EQ(d.use_count(), 5u);
+    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+    window[(lcg >> 33) % kOpWindow] = std::move(op);
+  };
+  for (std::uint64_t i = 0; i < kSteps / 10; ++i) step();  // warmup
+  const std::uint64_t warm = arena.heap_allocations();
+  EXPECT_GT(warm, 0u);  // the warmup grabbed the class's slabs
+  for (std::uint64_t i = 0; i < kSteps; ++i) step();
+  EXPECT_EQ(arena.heap_allocations(), warm);
+}
+
 TEST(OpArena, OversizeFallsBackToHeap) {
   OpArena arena;
   using Big = std::array<unsigned char, 2048>;  // > largest class
