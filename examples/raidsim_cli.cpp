@@ -247,31 +247,22 @@ int main(int argc, char** argv) {
       trace = make_workload(trace_name, workload);
     }
 
-    Metrics m;
-    if (config.shards >= 1) {
-      if (fail_disk >= 0)
-        fail("--shards is incompatible with --fail-disk/--rebuild");
-      if (progress) {
-        ShardedSimulator sim(config, trace->geometry(), workload.seed);
-        sim.set_progress_hook(make_heartbeat());
-        m = sim.run(*trace);
-      } else {
-        m = run_sharded_simulation(config, *trace, workload.seed);
+    if (config.shards >= 1 && fail_disk >= 0)
+      fail("--shards is incompatible with --fail-disk/--rebuild");
+    auto engine = make_engine(config, trace->geometry(), workload.seed);
+    if (progress) engine->set_progress_hook(make_heartbeat());
+    std::unique_ptr<RebuildProcess> rebuilder;
+    if (fail_disk >= 0) {
+      // The guard above leaves only the classic engine here.
+      auto& sim = static_cast<Simulator&>(*engine);
+      sim.mutable_controller(0).fail_disk(fail_disk);
+      if (rebuild) {
+        rebuilder = std::make_unique<RebuildProcess>(
+            sim.event_queue(), sim.mutable_controller(0));
+        rebuilder->start(nullptr);
       }
-    } else {
-      Simulator sim(config, trace->geometry());
-      if (progress) sim.set_progress_hook(make_heartbeat());
-      std::unique_ptr<RebuildProcess> rebuilder;
-      if (fail_disk >= 0) {
-        sim.mutable_controller(0).fail_disk(fail_disk);
-        if (rebuild) {
-          rebuilder = std::make_unique<RebuildProcess>(
-              sim.event_queue(), sim.mutable_controller(0));
-          rebuilder->start(nullptr);
-        }
-      }
-      m = sim.run(*trace);
     }
+    const Metrics m = engine->run(*trace);
 
     if (json) {
       m.to_json(std::cout);

@@ -1,34 +1,24 @@
 #pragma once
 
-#include <memory>
-#include <vector>
+#include <functional>
 
-#include "core/config.hpp"
-#include "core/metrics.hpp"
-#include "obs/sampler.hpp"
-#include "obs/tracer.hpp"
-#include "sim/cancellation.hpp"
-#include "sim/event_queue.hpp"
-#include "sim/progress.hpp"
-#include "trace/record.hpp"
+#include "core/engine_kernel.hpp"
 
 namespace raidsim {
 
 /// Top-level trace-driven simulator. Partitions the traced database's
 /// original data disks into arrays of N (Section 3.2's equal-capacity
 /// comparison), builds one controller + channel + disks per array, and
-/// replays a trace through them.
-class Simulator {
+/// replays a trace through them on a single EngineKernel. The trace is
+/// streamed, never materialized, and background machinery stops at
+/// global quiescence (EngineKind::kClassic), which is what lets the run
+/// also be driven from outside (submit + drain_and_finalize).
+class Simulator final : public ReplayEngine {
  public:
   Simulator(const SimulationConfig& config, const TraceGeometry& geometry);
-  ~Simulator();
+  ~Simulator() override;
 
-  Simulator(const Simulator&) = delete;
-  Simulator& operator=(const Simulator&) = delete;
-
-  /// Replay the whole trace and return aggregate metrics. May be called
-  /// once per Simulator instance.
-  Metrics run(TraceStream& trace);
+  Metrics run(TraceStream& trace) override;
 
   /// External driving (closed-loop workloads, failure drills): submit one
   /// request at the current simulation time. The completion is recorded
@@ -42,77 +32,36 @@ class Simulator {
   /// drain the remaining events, and build the metrics.
   Metrics drain_and_finalize();
 
-  int arrays() const { return static_cast<int>(controllers_.size()); }
-  int total_disks() const;
+  int total_disks() const { return kernel_.total_disks(); }
   const ArrayController& controller(int array) const {
-    return *controllers_[static_cast<std::size_t>(array)];
+    return *kernel_.arrays()[static_cast<std::size_t>(array)].controller;
   }
   /// Mutable access for failure injection and rebuild orchestration
   /// (fail_disk, RebuildProcess) before or during a run.
   ArrayController& mutable_controller(int array) {
-    return *controllers_[static_cast<std::size_t>(array)];
+    return *kernel_.arrays()[static_cast<std::size_t>(array)].controller;
   }
   /// The simulation clock/queue, for co-scheduling background processes
   /// (e.g. RebuildProcess) with the trace replay.
-  EventQueue& event_queue() { return eq_; }
-
-  /// Map a database block to (array index, array-local logical block).
-  std::pair<int, std::int64_t> route(std::int64_t db_block) const;
-
-  /// Attach a cooperative cancellation token. run() polls it every
-  /// kCancelCheckBatch executed events and throws CancelledError when it
-  /// fires; in-flight state is reclaimed by normal destruction. Must be
-  /// set before run() and outlive the run.
-  void set_cancel_token(const CancelToken* token) { cancel_ = token; }
-
-  /// Events executed between cancellation checks. Small enough that a
-  /// deadline lands within a few milliseconds of wall time, large enough
-  /// that the relaxed atomic load never shows up in a profile.
-  static constexpr std::uint64_t kCancelCheckBatch = 4096;
-
-  /// Attach a progress observer fired every kCancelCheckBatch executed
-  /// events (plus one final snapshot after the run completes). Must be
-  /// set before run(). Passive: hooked runs stay bit-identical to
-  /// unhooked ones.
-  void set_progress_hook(ProgressFn hook) { progress_ = std::move(hook); }
+  EventQueue& event_queue() { return kernel_.eq(); }
 
   /// Request-lifecycle tracer, null unless config.obs.tracing.
-  const Tracer* tracer() const { return tracer_.get(); }
+  const Tracer* tracer() const { return kernel_.tracer(); }
   /// Periodic telemetry sampler, null unless config.obs.sample_interval_ms > 0.
-  const TimeSeriesSampler* sampler() const { return sampler_.get(); }
+  const TimeSeriesSampler* sampler() const { return kernel_.sampler(); }
 
  private:
   void pump(TraceStream& trace);
-  /// Single bounds check shared by the pump and submit paths.
-  void validate_record(const TraceRecord& record) const;
-  void dispatch(const TraceRecord& record,
-                std::function<void(SimTime)> on_complete = nullptr);
-  void maybe_shutdown();
-  Metrics finalize();
-  void schedule_sample_tick();
-  void take_sample();
-  void emit_progress(bool final_frame);
+  template <typename... Then>
+  void dispatch(const TraceRecord& record, Then... then) {
+    auto [array, local_block] = route(record.block);
+    kernel_.dispatch(kernel_.arrays()[static_cast<std::size_t>(array)],
+                     local_block, record.block_count, record.is_write,
+                     std::move(then)...);
+  }
 
-  SimulationConfig config_;
-  TraceGeometry geometry_;
-  // Routing state precomputed from config + geometry so the per-request
-  // path does a single divide instead of two divide/modulo pairs.
-  std::int64_t blocks_per_array_ = 1;
-  std::int64_t total_blocks_ = 0;
-  EventQueue eq_;
-  const CancelToken* cancel_ = nullptr;
-  ProgressFn progress_;
-  std::uint64_t progress_total_ = 0;   // trace size hint for the hook
-  std::uint64_t metered_events_ = 0;   // events already fed to the registry
-  std::unique_ptr<Tracer> tracer_;
-  std::unique_ptr<TimeSeriesSampler> sampler_;
-  EventId sampler_event_ = 0;
-  std::vector<std::unique_ptr<ArrayController>> controllers_;
-  Metrics metrics_;
+  EngineKernel kernel_;
   double arrival_time_ = 0.0;
-  std::uint64_t outstanding_ = 0;
-  bool trace_done_ = false;
-  bool ran_ = false;
   /// Cleared for streams whose records were bounds-checked at conversion
   /// time (TraceStream::prevalidated), removing the per-record check from
   /// the replay hot path. submit() always validates.

@@ -6,8 +6,6 @@
 #include <thread>
 #include <utility>
 
-#include "core/simulator.hpp"
-#include "obs/export.hpp"
 #include "runner/sharded_sim.hpp"
 
 namespace raidsim {
@@ -31,40 +29,52 @@ Metrics run_sweep_job(const SweepJob& job) {
 
   // config.shards >= 1 selects the sharded engine for this single run
   // (0 = classic single-queue engine).
-  if (job.config.shards >= 1) {
-    ShardedSimulator simulator(config, stream->geometry(), job.workload.seed);
-    if (want_trace) simulator.set_artifact_prefix(job.trace_out);
-    if (job.cancel) simulator.set_cancel_token(job.cancel);
-    if (job.progress) simulator.set_progress_hook(job.progress);
-    try {
-      return simulator.run(*stream);
-    } catch (...) {
-      if (want_flight) simulator.dump_flight(job.flight_out);
-      throw;
-    }
-  }
-  if (!want_trace && !want_flight && job.cancel == nullptr && !job.progress)
-    return run_simulation(job.config, *stream);
-
-  Simulator simulator(config, stream->geometry());
-  if (job.cancel) simulator.set_cancel_token(job.cancel);
-  if (job.progress) simulator.set_progress_hook(job.progress);
+  auto engine = make_engine(config, stream->geometry(), job.workload.seed);
+  if (want_trace) engine->set_artifact_prefix(job.trace_out);
+  engine->set_cancel_token(job.cancel);
+  engine->set_progress_hook(job.progress);
   try {
-    Metrics metrics = simulator.run(*stream);
-    if (want_trace && simulator.tracer())
-      export_run_artifacts(job.trace_out, *simulator.tracer(),
-                           simulator.sampler());
-    return metrics;
+    return engine->run(*stream);
   } catch (...) {
-    if (want_flight && simulator.tracer()) {
-      try {
-        export_run_artifacts(job.flight_out, *simulator.tracer(), nullptr);
-      } catch (...) {
-        // Best effort: a failed dump must not mask the original error.
-      }
-    }
+    if (want_flight) engine->dump_flight(job.flight_out);
     throw;
   }
+}
+
+std::vector<std::exception_ptr> run_indexed(
+    std::size_t count, int threads,
+    const std::function<void(std::size_t)>& task) {
+  std::vector<std::exception_ptr> errors(count);
+  std::mutex queue_mutex;
+  std::size_t next = 0;
+  auto worker = [&] {
+    for (;;) {
+      std::size_t index;
+      {
+        std::lock_guard<std::mutex> lock(queue_mutex);
+        if (next >= count) return;
+        index = next++;
+      }
+      try {
+        task(index);
+      } catch (...) {
+        errors[index] = std::current_exception();
+      }
+    }
+  };
+
+  const std::size_t pool =
+      std::min<std::size_t>(static_cast<std::size_t>(std::max(threads, 1)),
+                            count);
+  if (pool <= 1) {
+    worker();
+  } else {
+    std::vector<std::thread> workers;
+    workers.reserve(pool);
+    for (std::size_t t = 0; t < pool; ++t) workers.emplace_back(worker);
+    for (auto& t : workers) t.join();
+  }
+  return errors;
 }
 
 SweepRunner::SweepRunner(int threads) : threads_(threads) {
@@ -97,39 +107,13 @@ std::vector<SweepResult> SweepRunner::run_impl(bool isolate_failures) {
   jobs_.clear();
 
   std::vector<SweepResult> results(jobs.size());
-  std::vector<std::exception_ptr> errors(jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i)
     results[i].label = jobs[i].label;
 
   // Indexed results make merge order independent of completion order.
-  std::mutex queue_mutex;
-  std::size_t next = 0;
-  auto worker = [&] {
-    for (;;) {
-      std::size_t index;
-      {
-        std::lock_guard<std::mutex> lock(queue_mutex);
-        if (next >= jobs.size()) return;
-        index = next++;
-      }
-      try {
-        results[index].metrics = jobs[index].fn();
-      } catch (...) {
-        errors[index] = std::current_exception();
-      }
-    }
-  };
-
-  const std::size_t pool = std::min<std::size_t>(
-      static_cast<std::size_t>(threads_), jobs.size());
-  if (pool <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(pool);
-    for (std::size_t t = 0; t < pool; ++t) threads.emplace_back(worker);
-    for (auto& t : threads) t.join();
-  }
+  std::vector<std::exception_ptr> errors = run_indexed(
+      jobs.size(), threads_,
+      [&](std::size_t i) { results[i].metrics = jobs[i].fn(); });
 
   if (isolate_failures) {
     // Per-job failure isolation: surviving jobs keep their submission

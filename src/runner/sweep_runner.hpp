@@ -1,5 +1,6 @@
 #pragma once
 
+#include <exception>
 #include <functional>
 #include <string>
 #include <vector>
@@ -108,5 +109,12 @@ class SweepRunner {
 
 /// Run one sweep job to completion on the calling thread.
 Metrics run_sweep_job(const SweepJob& job);
+
+/// Run `task(i)` for every i in [0, count) on min(threads, count) worker
+/// threads (inline on the caller when that is 1), handing out indices in
+/// ascending order. Returns what each task threw, null where it returned.
+std::vector<std::exception_ptr> run_indexed(
+    std::size_t count, int threads,
+    const std::function<void(std::size_t)>& task);
 
 }  // namespace raidsim

@@ -6,7 +6,7 @@
 namespace raidsim {
 
 /// One progress observation from a running engine. Emitted at the
-/// existing cancel-poll batch boundary (Simulator::kCancelCheckBatch
+/// existing cancel-poll batch boundary (EngineKernel::kCancelCheckBatch
 /// events), so observing progress costs nothing on the per-event hot
 /// path -- and, like tracing, never perturbs the simulation: hooked
 /// runs are bit-identical to unhooked ones (asserted by

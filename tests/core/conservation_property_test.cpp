@@ -3,6 +3,7 @@
 // accounting identities, independent of configuration.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <deque>
 
 #include "core/simulator.hpp"
@@ -37,12 +38,19 @@ class RandomStream : public TraceStream {
   Rng rng_;
 };
 
+// GoogleTest names each instance with the raw bytes of its parameter, so
+// the padding after `cached` is spelled out and zeroed: left implicit, it
+// holds whatever the stack held and the test names change between builds.
 struct Param {
+  Param(Organization org, bool cached, int n, int striping_unit)
+      : org(org), cached(cached), n(n), striping_unit(striping_unit) {}
   Organization org;
   bool cached;
+  std::uint8_t padding[3] = {};
   int n;
   int striping_unit;
 };
+static_assert(sizeof(Param) == 16, "Param must have no implicit padding");
 
 class ConservationProperty : public ::testing::TestWithParam<Param> {};
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <string>
 
 #include "core/workloads.hpp"
 
@@ -115,6 +116,31 @@ TEST(Simulator, RunIsSingleShot) {
   sim.run(a);
   FixedStream b(geo, {});
   EXPECT_THROW(sim.run(b), std::logic_error);
+}
+
+// A controller that swallows requests (halted before the run) leaves the
+// event queue to drain with host requests still outstanding; run() must
+// say so instead of returning metrics that silently undercount. The run
+// is uncached so no destage timer keeps the queue alive.
+TEST(Simulator, StrandedRequestsThrowFromRun) {
+  SimulationConfig config;
+  config.organization = Organization::kRaid5;
+  config.array_data_disks = 5;
+  TraceGeometry geo{10, 1000};
+  FixedStream trace(geo, {
+                             {0.0, 0, 1, false},        // array 0
+                             {1.0, 5 * 1000, 1, true},  // array 1
+                             {1.0, 7, 2, true},         // array 0
+                         });
+  Simulator sim(config, geo);
+  sim.mutable_controller(0).crash_halt(false);
+  try {
+    sim.run(trace);
+    FAIL() << "run() returned with requests outstanding";
+  } catch (const StrandedRequestsError& e) {
+    EXPECT_EQ(e.outstanding(), 2u);
+    EXPECT_NE(std::string(e.what()).find("2 outstanding"), std::string::npos);
+  }
 }
 
 TEST(Simulator, DeterministicAcrossRuns) {
